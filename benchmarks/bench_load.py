@@ -519,9 +519,6 @@ def main() -> int:
     parser.add_argument("--blocks", type=int, default=10)
     parser.add_argument("--workers", type=int, default=8,
                         help="worker-pool size of the concurrent endpoint")
-    parser.add_argument("--crypto-workers", type=int, default=1,
-                        help="CryptoPool processes for the concurrent "
-                        "endpoint (1 = serial crypto)")
     parser.add_argument("--profile", choices=["default", "async-1k"],
                         default="default",
                         help="'async-1k' swarms the AsyncSocketServer with "
@@ -603,9 +600,7 @@ def main() -> int:
     serial_endpoint.close()
     print_row("serial/identical", report["serial_identical"])
 
-    concurrent_endpoint = ServiceEndpoint(
-        net.sp, max_workers=args.workers, workers=args.crypto_workers
-    )
+    concurrent_endpoint = ServiceEndpoint(net.sp, max_workers=args.workers)
     with serve(concurrent_endpoint) as server:
         report["concurrent_identical"] = run_workload(
             server.address, backend, args.clients,
@@ -621,7 +616,7 @@ def main() -> int:
             mixed_ops(mixed_queries, subscription, args.queries),
         )
         # the full observability snapshot: endpoint counters, both
-        # caches, subscription engine, and the CryptoPool (if any)
+        # caches and the subscription engine
         report["endpoint_stats"] = concurrent_endpoint.stats()
     concurrent_endpoint.close()
     print_row("concurrent/identical", report["concurrent_identical"])

@@ -48,7 +48,6 @@ from repro.api import ServiceEndpoint, VChainClient
 from repro.chain import Block, Blockchain, DataObject, Miner, ProtocolParams
 from repro.core.sp import ServiceProvider
 from repro.core.user import QueryUser
-from repro.parallel import CryptoPool, ParallelConfig, make_pool, resolve_config
 from repro.storage.bootstrap import (
     ChainSetup,
     StorageTarget,
@@ -59,12 +58,9 @@ from repro.storage.bootstrap import (
 __version__ = "1.9.0"
 
 __all__ = [
-    "CryptoPool",
-    "ParallelConfig",
     "VChainClient",
     "VChainNetwork",
     "__version__",
-    "make_pool",
 ]
 
 
@@ -86,7 +82,6 @@ class VChainNetwork:
     sp: ServiceProvider
     user: QueryUser
     data_dir: str | None = None
-    pool: CryptoPool | None = None
     _endpoint: ServiceEndpoint | None = field(default=None, repr=False)
     _client: VChainClient | None = field(default=None, repr=False)
 
@@ -100,8 +95,6 @@ class VChainNetwork:
         acc1_capacity: int = 4096,
         data_dir: "StorageTarget | None" = None,
         fsync: bool = True,
-        workers: int = 1,
-        parallel: ParallelConfig | None = None,
         stripes: int | None = None,
         parity: int = 2,
     ) -> "VChainNetwork":
@@ -117,17 +110,7 @@ class VChainNetwork:
         node directories under (or listed in) ``data_dir``, tolerating
         up to ``parity`` lost directories — see
         :class:`repro.storage.StripedBlockStore`.
-
-        ``workers`` scales the crypto across that many worker processes
-        (a shared :class:`~repro.parallel.CryptoPool` serving miner, SP
-        and user; ``parallel`` accepts a full
-        :class:`~repro.parallel.ParallelConfig`).  The default of 1 is
-        fully serial; any setting produces byte-identical chains and
-        VOs.
         """
-        # validate the parallel arguments before anything touches disk:
-        # a bad combination must not leave a half-initialised data_dir
-        parallel = resolve_config(workers, parallel)
         setup = create_chain_setup(
             data_dir=data_dir,
             acc_name=acc_name,
@@ -139,15 +122,13 @@ class VChainNetwork:
             stripes=stripes,
             parity=parity,
         )
-        return cls._from_setup(setup, parallel=parallel)
+        return cls._from_setup(setup)
 
     @classmethod
     def open(
         cls,
         data_dir: "StorageTarget",
         fsync: bool = True,
-        workers: int = 1,
-        parallel: ParallelConfig | None = None,
     ) -> "VChainNetwork":
         """Reopen a persisted network: chain, miner, SP and a fresh
         light node, all wired to the recorded trusted setup.
@@ -159,30 +140,20 @@ class VChainNetwork:
         Striped deployments reopen from any surviving quorum: pass the
         parent directory or a list of surviving node directories.
         """
-        parallel = resolve_config(workers, parallel)
         setup = open_chain_setup(data_dir, fsync=fsync)
-        net = cls._from_setup(setup, parallel=parallel)
+        net = cls._from_setup(setup)
         net.user.sync_headers(net.chain)
         return net
 
     @classmethod
-    def _from_setup(
-        cls,
-        setup: ChainSetup,
-        parallel: ParallelConfig | None = None,
-    ) -> "VChainNetwork":
-        """Wire the parties over one setup; ``parallel`` is the already
-        resolved config (callers validate ``workers=`` up front)."""
-        pool = None
+    def _from_setup(cls, setup: ChainSetup) -> "VChainNetwork":
+        """Wire the parties over one setup."""
         try:
-            pool = make_pool(setup.accumulator, setup.encoder, config=parallel)
-            miner = Miner(
-                setup.chain, setup.accumulator, setup.encoder, setup.params, pool=pool
-            )
+            miner = Miner(setup.chain, setup.accumulator, setup.encoder, setup.params)
             sp = ServiceProvider(
-                setup.chain, setup.accumulator, setup.encoder, setup.params, pool=pool
+                setup.chain, setup.accumulator, setup.encoder, setup.params
             )
-            user = QueryUser(setup.accumulator, setup.encoder, setup.params, pool=pool)
+            user = QueryUser(setup.accumulator, setup.encoder, setup.params)
             return cls(
                 params=setup.params,
                 accumulator=setup.accumulator,
@@ -192,13 +163,10 @@ class VChainNetwork:
                 sp=sp,
                 user=user,
                 data_dir=setup.data_dir,
-                pool=pool,
             )
         except Exception:
-            # a failed wiring must not leak worker processes or leave
-            # the (possibly durable) store open
-            if pool is not None:
-                pool.close()
+            # a failed wiring must not leave the (possibly durable)
+            # store open
             setup.chain.close()
             raise
 
@@ -250,8 +218,6 @@ class VChainNetwork:
             self._endpoint.close()
             self._endpoint = None
             self._client = None
-        if self.pool is not None:
-            self.pool.close()
         self.chain.close()
 
     def __enter__(self) -> "VChainNetwork":

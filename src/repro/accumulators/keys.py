@@ -63,22 +63,6 @@ class KeyOracle:
         # lazily, then shared by every commit that touches the same power
         self._tables: dict[int, Any] = {}
 
-    def __getstate__(self) -> dict:
-        """Pickle everything except the fixed-base window tables.
-
-        Spawn-mode :class:`~repro.parallel.CryptoPool` workers receive
-        the oracle by pickling.  The power cache travels (it is small
-        and saves each worker one ``exp`` per index), but window tables
-        are bulky precomputation that every worker rebuilds lazily from
-        :meth:`power_table` — exactly what a process restart does.
-        """
-        state = self.__dict__.copy()
-        state["_tables"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     @property
     def backend(self) -> PairingBackend:
         return self._backend

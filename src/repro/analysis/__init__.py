@@ -2,10 +2,9 @@
 
 The codebase rests on invariants that no runtime check enforces: wire
 codecs must cover every dataclass field, shared state in the serving
-stack must be mutated under its lock, pool work items must stay
-spawn-picklable, crypto backends must implement the full abstract
-contract, and ``__all__`` must match the documented API.  This package
-checks all five statically — pure AST analysis, nothing imported or
+stack must be mutated under its lock, crypto backends must implement
+the full abstract contract, and ``__all__`` must match the documented
+API.  This package checks them statically — pure AST analysis, nothing imported or
 executed — and gates them in CI via ``python -m repro.analysis
 --check``.
 

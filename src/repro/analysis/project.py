@@ -16,8 +16,7 @@ AST:
   ``boolean`` it inherits from ``Query``), in dataclass ``__init__``
   order so positional constructor calls map correctly;
 * **the class graph** — a subclass index over every top-level class, so
-  conformance and pickle-reachability checks can close over
-  "every project subclass of X".
+  conformance checks can close over "every project subclass of X".
 
 Everything is resolved statically from the ASTs; nothing is imported.
 That keeps the analyzer runnable on broken code and free of import

@@ -1,4 +1,4 @@
-"""The eight repo-specific checkers.
+"""The seven repo-specific checkers.
 
 Each rule is a module exposing ``NAME``, ``DESCRIPTION`` and
 ``check(project) -> list[Finding]``; :data:`ALL_RULES` is the registry
@@ -15,11 +15,10 @@ from repro.analysis.rules import (
     exports,
     fsync,
     locks,
-    pickles,
 )
 
 #: registry order is report order for equal file/line
-ALL_RULES = (codec, locks, pickles, backends, exports, blocking, fsync, accel)
+ALL_RULES = (codec, locks, backends, exports, blocking, fsync, accel)
 
 __all__ = sorted(
     [
@@ -31,6 +30,5 @@ __all__ = sorted(
         "exports",
         "fsync",
         "locks",
-        "pickles",
     ]
 )

@@ -11,7 +11,7 @@ assignment, annotated assignment, ``del``, or a subscript store like
 ``self._queues[k] = v`` — outside a lexical ``with self.<lock>`` block
 is a finding.
 
-Scope: :mod:`repro.cache`, :mod:`repro.parallel` and :mod:`repro.api`
+Scope: :mod:`repro.cache` and :mod:`repro.api`
 (the subsystems whose objects are hit from multiple threads).
 Constructors and pickle hooks are exempt (no concurrent access exists
 before ``__init__`` returns / during unpickling), as are reads — the
@@ -35,7 +35,7 @@ NAME = "lock-discipline"
 DESCRIPTION = "writes to self._* attributes of lock-owning classes must hold the lock"
 
 #: subsystems whose classes are accessed from multiple threads
-SCOPES = ("repro.cache", "repro.parallel", "repro.api")
+SCOPES = ("repro.cache", "repro.api")
 
 #: methods that run before/without concurrent access
 _EXEMPT_METHODS = {

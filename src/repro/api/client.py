@@ -230,7 +230,7 @@ class VChainClient:
         :class:`~repro.api.transport.LocalTransport` it reads the
         endpoint directly.  Either way the answer is the server-side
         :meth:`~repro.api.service.ServiceEndpoint.stats` snapshot —
-        endpoint counters, cache and pool stats, and (when a socket
+        endpoint counters, cache and engine stats, and (when a socket
         server is attached) its admission/rate-limit/eviction counters.
         """
         return self.transport.server_stats()

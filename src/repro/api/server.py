@@ -136,13 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-workers", type=int, default=8, help="concurrent query threads"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="crypto worker processes (1 = serial, 0 = one per core); "
-        "proving and subscription work fan out across them",
-    )
-    parser.add_argument(
         "--threaded",
         action="store_true",
         help="serve with the thread-per-connection SocketServer instead "
@@ -222,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
         rate_limit=args.rate_limit,
         tap=tap,
         max_workers=args.max_workers,
-        workers=args.workers,
         fsync=not args.no_fsync,
         scrub_interval=args.scrub_interval,
     )

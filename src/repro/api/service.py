@@ -50,7 +50,6 @@ from repro.core.sp import ServiceProvider
 from repro.core.vo import TimeWindowVO
 from repro.crypto.accel import dispatch
 from repro.errors import ReproError, SubscriptionError
-from repro.parallel import CryptoPool, ParallelConfig, make_pool
 from repro.subscribe.engine import Delivery, SubscriptionEngine
 from repro.wire import Scalar, ServerStats
 
@@ -158,8 +157,6 @@ class ServiceEndpoint:
         max_workers: int = 8,
         cache_fragments: int = 512,
         cache_proofs: int = 4096,
-        workers: int = 1,
-        parallel: ParallelConfig | None = None,
         scrub_interval: float | None = None,
         scrub_batch: int = 64,
     ) -> None:
@@ -176,18 +173,6 @@ class ServiceEndpoint:
         non-positive interval raises :class:`ValueError`; the option is
         ignored when the chain's store has no scrubber (plain file or
         in-memory stores).
-
-        ``workers`` scales the *crypto*, not the dispatch: >1 starts a
-        :class:`~repro.parallel.CryptoPool` of worker processes that
-        the query processor and subscription engine fan proving across
-        (``parallel`` accepts a full
-        :class:`~repro.parallel.ParallelConfig` instead).  The endpoint
-        owns a pool it started and closes it on :meth:`close`; with the
-        default ``workers=1`` it simply inherits whatever pool the
-        :class:`~repro.core.sp.ServiceProvider` was built with.  Run at
-        most one ``workers>1`` endpoint per SP at a time: the query
-        processor is shared, so the most recently constructed
-        endpoint's pool serves its queries.
         """
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -198,37 +183,16 @@ class ServiceEndpoint:
         self.counters = EndpointStats()
         self.fragment_cache = VOFragmentCache(cache_fragments)
         self.proof_cache = ProofCache(sp.accumulator, sp.encoder, cache_proofs)
-        self._owned_pool: CryptoPool | None = None
-        # inherit the pool the SP was *built* with — never another
-        # endpoint's transient pool picked off sp.processor
-        self._inherited_pool: CryptoPool | None = getattr(sp, "pool", None)
-        pool = self._inherited_pool
-        if workers != 1 or parallel is not None:
-            self._owned_pool = make_pool(
-                sp.accumulator, sp.encoder, workers=workers, config=parallel
-            )
-        try:
-            if self._owned_pool is not None:
-                pool = self._owned_pool
-                sp.processor.pool = pool
-            self.engine = SubscriptionEngine(
-                sp.accumulator,
-                sp.encoder,
-                sp.params,
-                use_iptree=use_iptree,
-                lazy=lazy,
-                iptree_dims=iptree_dims,
-                iptree_max_depth=iptree_max_depth,
-                proof_cache=self.proof_cache,
-                pool=pool,
-            )
-        except Exception:
-            # a bad engine option must not leak live worker processes
-            if self._owned_pool is not None:
-                sp.processor.pool = self._inherited_pool
-                self._owned_pool.close()
-                self._owned_pool = None
-            raise
+        self.engine = SubscriptionEngine(
+            sp.accumulator,
+            sp.encoder,
+            sp.params,
+            use_iptree=use_iptree,
+            lazy=lazy,
+            iptree_dims=iptree_dims,
+            iptree_max_depth=iptree_max_depth,
+            proof_cache=self.proof_cache,
+        )
         self._queues: dict[int, deque[Delivery]] = {}
         self._ingested = 0  # chain height the engine has processed up to
         # one endpoint may serve many transports (and the socket server
@@ -306,18 +270,10 @@ class ServiceEndpoint:
         when the endpoint shuts down."""
         with self._lock:
             self._closed = True
-            owned, self._owned_pool = self._owned_pool, None
         self._scrub_stop.set()
         if self._scrub_thread is not None:
             self._scrub_thread.join(timeout=10.0)
         self._pool.shutdown(wait=wait)
-        if owned is not None:
-            # hand the processor back its original pool before stopping
-            # ours — but only if we are still the one wired in (another
-            # endpoint on the same SP may have installed its own since)
-            if self.sp.processor.pool is owned:
-                self.sp.processor.pool = self._inherited_pool
-            owned.close(wait=wait)
         if self._owns_store:
             self.sp.close()
 
@@ -357,11 +313,6 @@ class ServiceEndpoint:
         }
 
     @property
-    def pool(self) -> CryptoPool | None:
-        """The live :class:`~repro.parallel.CryptoPool`, if any."""
-        return self._owned_pool or self._inherited_pool
-
-    @property
     def executor(self) -> ThreadPoolExecutor:
         """The query worker pool, for transports that schedule into it.
 
@@ -385,14 +336,13 @@ class ServiceEndpoint:
             self._server_counters = counters
 
     def stats(self) -> dict[str, object]:
-        """One observability snapshot: endpoint, caches, engine, pool,
+        """One observability snapshot: endpoint, caches, engine, storage,
         and — when a socket server is attached — its transport counters.
 
         Everything a load generator or dashboard needs, as plain JSON-
         ready dicts (see ``benchmarks/bench_load.py`` for the consumer).
         """
         engine = self.engine.stats
-        pool = self.pool
         server = self._server_counters
         return {
             "endpoint": self.counters.as_dict(),
@@ -404,9 +354,7 @@ class ServiceEndpoint:
                 "proofs_computed": engine.proofs_computed,
                 "proofs_shared": engine.proofs_shared,
                 "deliveries": engine.deliveries,
-                "parallel_tasks": engine.parallel_tasks,
             },
-            "pool": pool.stats().as_info() if pool is not None else None,
             "server": server() if server is not None else None,
             "storage": self.storage_health(),
             "accel": dispatch.active_impl(),
@@ -424,7 +372,6 @@ class ServiceEndpoint:
             endpoint=cast("dict[str, Scalar]", snapshot["endpoint"]),
             caches=cast("dict[str, dict[str, Scalar]]", snapshot["caches"]),
             engine=cast("dict[str, Scalar]", snapshot["engine"]),
-            pool=cast("dict[str, Scalar] | None", snapshot["pool"]),
             server=cast("dict[str, Scalar] | None", snapshot["server"]),
             storage=cast("dict[str, Scalar] | None", snapshot["storage"]),
             accel=cast("str", snapshot["accel"]),

@@ -97,23 +97,6 @@ class ProofCache:
         self._lru.put(key, proof)
         return proof, False
 
-    def lookup(
-        self, attrs: Counter[str], clause: frozenset[str]
-    ) -> DisjointProof | None:
-        """The cached proof, or ``None`` — never computes.
-
-        The parallel proving path peeks first so only genuinely missing
-        proofs are shipped to :class:`~repro.parallel.CryptoPool`
-        workers, then :meth:`seed`\\ s the results back.
-        """
-        return self._lru.get((multiset_signature(attrs), clause))
-
-    def seed(
-        self, attrs: Counter[str], clause: frozenset[str], proof: DisjointProof
-    ) -> None:
-        """Install a proof computed elsewhere (e.g. by a pool worker)."""
-        self._lru.put((multiset_signature(attrs), clause), proof)
-
     def clear(self) -> None:
         self._lru.clear()
 

@@ -58,17 +58,11 @@ class Miner:
         accumulator: MultisetAccumulator,
         encoder: ElementEncoder,
         params: ProtocolParams,
-        pool=None,
     ) -> None:
-        """``pool`` is an optional :class:`~repro.parallel.CryptoPool`:
-        the per-node ``AttDigest`` commits of each mined block fan out
-        across its workers (blocks stay byte-identical to serial
-        mining — every digest is a pure function of its multiset)."""
         self.chain = chain
         self.accumulator = accumulator
         self.encoder = encoder
         self.params = params
-        self.pool = pool
 
     def mine_block(self, objects: list[DataObject], timestamp: int) -> Block:
         """Build, seal, append and return the next block."""
@@ -76,9 +70,7 @@ class Miner:
             raise ChainError("refusing to mine an empty block")
         params = self.params
         if params.mode == "nil":
-            root = build_flat_tree(
-                objects, self.accumulator, self.encoder, params.bits, pool=self.pool
-            )
+            root = build_flat_tree(objects, self.accumulator, self.encoder, params.bits)
         else:
             root = build_intra_tree(
                 objects,
@@ -86,7 +78,6 @@ class Miner:
                 self.encoder,
                 params.bits,
                 clustered=params.clustered,
-                pool=self.pool,
             )
 
         attrs_sum: Counter = Counter()

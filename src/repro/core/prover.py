@@ -21,23 +21,13 @@ windows and a :class:`~repro.cache.ProofCache` can reuse individual
 disjointness proofs across queries and subscribers.  Both caches are
 optional per-call arguments; omitted, behaviour and output bytes are
 identical to the uncached path.
-
-*Parallel proving* (the multicore path): with a live
-:class:`~repro.parallel.CryptoPool`, mismatch-site proofs are *deferred*
-— the window walk records ``(attrs, clause)`` work items and builds VO
-nodes with proof placeholders, then one fan-out proves every site across
-the worker processes and the placeholders are bound in walk order.
-Proofs are pure functions of their site, so the bound VO is
-byte-identical to the serial path's; the ``workers=1`` default keeps the
-original inline proving untouched.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
 
 from repro.accumulators.base import DisjointProof, MultisetAccumulator
 from repro.accumulators.encoding import ElementEncoder
@@ -84,10 +74,6 @@ class QueryStats:
     cache_misses: int = 0
     #: disjointness proofs served from the proof cache instead of proved
     proofs_reused: int = 0
-    #: crypto work items fanned out to CryptoPool workers
-    parallel_tasks: int = 0
-    #: worker-process count of the pool that served the query (0 = serial)
-    workers_used: int = 0
 
 
 def prove_sites(
@@ -96,60 +82,34 @@ def prove_sites(
     sites: list[tuple[Counter, frozenset[str]]],
     proof_cache: ProofCache | None,
     stats: QueryStats | None,
-    pool=None,
 ) -> list[DisjointProof]:
     """Disjointness proofs for many sites at once, in site order.
 
-    Content-identical sites collapse to one computation, the proof cache
-    is consulted first (and seeded with new proofs), and everything
-    genuinely missing fans out across the
-    :class:`~repro.parallel.CryptoPool` when one is live.  Stats match
-    the serial path: with a cache, the first occurrence of a content
-    counts ``proofs_computed`` and every repeat ``proofs_reused``;
-    without one, every site counts ``proofs_computed`` (the serial code
-    would have recomputed it).
+    Content-identical sites collapse to one computation, through the
+    proof cache when one is enabled.  With a cache, the first occurrence
+    of a content counts ``proofs_computed`` and every repeat
+    ``proofs_reused``; without one, every site counts
+    ``proofs_computed``.
     """
-    proofs: list[DisjointProof | None] = [None] * len(sites)
     groups: dict[tuple, list[int]] = {}
     for index, (attrs, clause) in enumerate(sites):
         groups.setdefault((multiset_signature(attrs), clause), []).append(index)
 
     caching = proof_cache is not None and proof_cache.enabled
-    to_compute: list[list[int]] = []
+    proofs: list[DisjointProof | None] = [None] * len(sites)
     for indices in groups.values():
-        hit = None
-        if caching:
-            attrs, clause = sites[indices[0]]
-            hit = proof_cache.lookup(attrs, clause)
-        if hit is not None:
-            for index in indices:
-                proofs[index] = hit
-            if stats is not None:
-                stats.proofs_reused += len(indices)
-        else:
-            to_compute.append(indices)
-
-    items = [sites[indices[0]] for indices in to_compute]
-    if pool is not None and not pool.serial and len(items) > 1:
-        computed = pool.map_prove(items)
-        if stats is not None:
-            stats.parallel_tasks += len(items)
-    else:
-        computed = [
-            compute_disjoint_proof(accumulator, encoder, attrs, clause)
-            for attrs, clause in items
-        ]
-    for indices, proof in zip(to_compute, computed):
-        for index in indices:
-            proofs[index] = proof
         attrs, clause = sites[indices[0]]
         if caching:
-            proof_cache.seed(attrs, clause, proof)
-            if stats is not None:
-                stats.proofs_computed += 1
-                stats.proofs_reused += len(indices) - 1
-        elif stats is not None:
-            stats.proofs_computed += len(indices)
+            proof, hit = proof_cache.prove_disjoint(attrs, clause)
+            computed = 0 if hit else 1
+        else:
+            proof = compute_disjoint_proof(accumulator, encoder, attrs, clause)
+            computed = len(indices)
+        for index in indices:
+            proofs[index] = proof
+        if stats is not None:
+            stats.proofs_computed += computed
+            stats.proofs_reused += len(indices) - computed
     return proofs
 
 
@@ -175,13 +135,10 @@ class _BatchCollector:
         self,
         proof_cache: ProofCache | None = None,
         stats: QueryStats | None = None,
-        pool=None,
     ) -> dict[int, BatchGroup]:
         ordered = list(self.groups.items())
         sites = [(self.sums[group], clause) for clause, group in ordered]
-        proofs = prove_sites(
-            self.accumulator, self.encoder, sites, proof_cache, stats, pool
-        )
+        proofs = prove_sites(self.accumulator, self.encoder, sites, proof_cache, stats)
         return {
             group: BatchGroup(clause=clause, proof=proof)
             for (clause, group), proof in zip(ordered, proofs)
@@ -208,30 +165,6 @@ class _FragmentCollector:
         return tuple(self.sums.items())
 
 
-@dataclass
-class _PendingFragment:
-    """A freshly computed fragment whose mismatch proofs are deferred."""
-
-    vo_index: int
-    cache_key: tuple | None
-    fragment: BlockFragment
-    sites: list[tuple[Counter, frozenset[str]]]
-
-
-def _bind_site_proofs(node: VONode, proofs: Iterator[DisjointProof]) -> VONode:
-    """Fill proof placeholders in the same DFS order the walk recorded."""
-    if isinstance(node, VOMismatchNode):
-        if node.proof is None and node.group is None:
-            return replace(node, proof=next(proofs))
-        return node
-    if isinstance(node, VOExpandNode):
-        children = tuple(_bind_site_proofs(child, proofs) for child in node.children)
-        if all(new is old for new, old in zip(children, node.children)):
-            return node
-        return replace(node, children=children)
-    return node
-
-
 class QueryProcessor:
     """The service provider's verifiable query engine."""
 
@@ -241,16 +174,11 @@ class QueryProcessor:
         accumulator: MultisetAccumulator,
         encoder: ElementEncoder,
         params: ProtocolParams,
-        pool=None,
     ) -> None:
-        """``pool`` (a :class:`~repro.parallel.CryptoPool`) fans the
-        per-site disjointness proving of each query across worker
-        processes; ``None`` (or a serial pool) keeps proving inline."""
         self.chain = chain
         self.accumulator = accumulator
         self.encoder = encoder
         self.params = params
-        self.pool = pool
 
     # -- public API -----------------------------------------------------
     def time_window_query(
@@ -279,10 +207,6 @@ class QueryProcessor:
         cnf = query.transformed(self.params.bits)
         collector = _BatchCollector(self.accumulator, self.encoder) if batch else None
         caching = fragment_cache is not None and fragment_cache.enabled
-        use_pool = self.pool is not None and not self.pool.serial
-        if use_pool:
-            stats.workers_used = self.pool.workers
-        pending: list[_PendingFragment] = []
         results: list[DataObject] = []
         vo = TimeWindowVO()
 
@@ -296,19 +220,11 @@ class QueryProcessor:
                 key = fragment_cache.key(height, cnf.clauses, batch)
                 fragment = fragment_cache.get(key)
             if fragment is None:
-                # in pool mode, per-node proofs are deferred: the walk
-                # records sites and leaves placeholders to bind later
-                sites: list | None = [] if use_pool and not batch else None
                 fragment = self._compute_fragment(
-                    self.chain.block(height), cnf, batch, stats, proof_cache, sites
+                    self.chain.block(height), cnf, batch, stats, proof_cache
                 )
                 if caching:
                     stats.cache_misses += 1
-                if sites:
-                    pending.append(
-                        _PendingFragment(len(vo.entries), key, fragment, sites)
-                    )
-                elif caching:
                     fragment_cache.put(key, fragment)
             else:
                 stats.cache_hits += 1
@@ -326,47 +242,11 @@ class QueryProcessor:
             else:
                 stats.blocks_scanned += 1
 
-        if pending:
-            self._resolve_pending(
-                pending, vo, fragment_cache if caching else None, stats, proof_cache
-            )
         if collector is not None:
-            vo.batch_groups = collector.finalize(
-                proof_cache, stats, self.pool if use_pool else None
-            )
+            vo.batch_groups = collector.finalize(proof_cache, stats)
         stats.results = len(results)
         stats.sp_seconds = time.perf_counter() - start
         return results, vo, stats
-
-    def _resolve_pending(
-        self,
-        pending: list[_PendingFragment],
-        vo: TimeWindowVO,
-        fragment_cache: VOFragmentCache | None,
-        stats: QueryStats,
-        proof_cache: ProofCache | None,
-    ) -> None:
-        """Prove every deferred site in one fan-out, then bind and cache.
-
-        Cached fragments receive their fully bound form, so replays for
-        other queries see exactly what the serial path would have
-        stored.
-        """
-        all_sites = [site for item in pending for site in item.sites]
-        proofs = prove_sites(
-            self.accumulator, self.encoder, all_sites, proof_cache, stats, self.pool
-        )
-        cursor = 0
-        for item in pending:
-            span = iter(proofs[cursor : cursor + len(item.sites)])
-            cursor += len(item.sites)
-            entry = replace(
-                item.fragment.entry,
-                root=_bind_site_proofs(item.fragment.entry.root, span),
-            )
-            vo.entries[item.vo_index] = entry
-            if fragment_cache is not None:
-                fragment_cache.put(item.cache_key, replace(item.fragment, entry=entry))
 
     # -- per-block fragments ------------------------------------------------
     def _compute_fragment(
@@ -376,15 +256,8 @@ class QueryProcessor:
         batch: bool,
         stats: QueryStats,
         proof_cache: ProofCache | None,
-        sites: list | None = None,
     ) -> BlockFragment:
-        """One window step as a reusable fragment (skip or transcript).
-
-        With ``sites`` (pool mode, non-batch) tree mismatch proofs are
-        deferred: each site is appended as ``(attrs, clause)`` and its
-        VO node carries a placeholder until ``_resolve_pending`` binds
-        the proof.  Skip proofs stay inline — one per fragment.
-        """
+        """One window step as a reusable fragment (skip or transcript)."""
         collector = _FragmentCollector() if batch else None
         results: list[DataObject] = []
         skip = self._try_skip(block, cnf, collector, stats, proof_cache)
@@ -393,7 +266,7 @@ class QueryProcessor:
             covered = skip.distance
         else:
             root = self._process_tree(
-                block.index_root, cnf, collector, results, stats, proof_cache, sites
+                block.index_root, cnf, collector, results, stats, proof_cache
             )
             entry = VOBlock(height=block.height, root=root)
             covered = 1
@@ -468,15 +341,12 @@ class QueryProcessor:
         results: list[DataObject],
         stats: QueryStats,
         proof_cache: ProofCache | None,
-        sites: list | None = None,
     ) -> VONode:
         stats.nodes_visited += 1
         if node.att_digest is not None:
             clause = cnf.mismatch_clause(node.attrs)
             if clause is not None:
-                return self._mismatch_node(
-                    node, clause, collector, stats, proof_cache, sites
-                )
+                return self._mismatch_node(node, clause, collector, stats, proof_cache)
             if node.is_leaf:
                 results.append(node.obj)
                 return VOMatchLeaf(obj=node.obj)
@@ -484,7 +354,7 @@ class QueryProcessor:
                 att_digest=node.att_digest,
                 children=tuple(
                     self._process_tree(
-                        child, cnf, collector, results, stats, proof_cache, sites
+                        child, cnf, collector, results, stats, proof_cache
                     )
                     for child in node.children
                 ),
@@ -493,9 +363,7 @@ class QueryProcessor:
         return VOExpandNode(
             att_digest=None,
             children=tuple(
-                self._process_tree(
-                    child, cnf, collector, results, stats, proof_cache, sites
-                )
+                self._process_tree(child, cnf, collector, results, stats, proof_cache)
                 for child in node.children
             ),
         )
@@ -507,7 +375,6 @@ class QueryProcessor:
         collector: _FragmentCollector | None,
         stats: QueryStats,
         proof_cache: ProofCache | None,
-        sites: list | None = None,
     ) -> VOMismatchNode:
         component = (
             node.obj.serialize() if node.is_leaf else children_hash(node.children)
@@ -516,9 +383,6 @@ class QueryProcessor:
         group = None
         if collector is not None:
             group = collector.group_for(clause, node.attrs)
-        elif sites is not None:
-            # pool mode: record the work item, bind the proof later
-            sites.append((node.attrs, clause))
         else:
             proof = self._prove(node.attrs, clause, stats, proof_cache)
         return VOMismatchNode(

@@ -35,17 +35,12 @@ class ServiceProvider:
         accumulator: MultisetAccumulator,
         encoder: ElementEncoder,
         params: ProtocolParams,
-        pool=None,
     ) -> None:
-        """``pool`` (a :class:`~repro.parallel.CryptoPool`) parallelises
-        the processor's disjointness proving; the SP does not own it —
-        whoever built the pool closes it."""
         self.chain = chain
         self.accumulator = accumulator
         self.encoder = encoder
         self.params = params
-        self.pool = pool
-        self.processor = QueryProcessor(chain, accumulator, encoder, params, pool=pool)
+        self.processor = QueryProcessor(chain, accumulator, encoder, params)
 
     @classmethod
     def open(

@@ -23,14 +23,9 @@ class QueryUser:
         accumulator: MultisetAccumulator,
         encoder: ElementEncoder,
         params: ProtocolParams,
-        pool=None,
     ) -> None:
-        """``pool`` (a :class:`~repro.parallel.CryptoPool`) parallelises
-        :meth:`batch_verify`'s weighted aggregation; not owned here."""
         self.light = LightNode(difficulty_bits=params.difficulty_bits)
-        self.verifier = QueryVerifier(
-            self.light, accumulator, encoder, params, pool=pool
-        )
+        self.verifier = QueryVerifier(self.light, accumulator, encoder, params)
         self.params = params
 
     def sync_headers(self, source: Blockchain) -> int:

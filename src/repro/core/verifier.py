@@ -55,7 +55,6 @@ from repro.crypto.hashing import digest
 from repro.errors import VerificationError
 from repro.index.inter import pre_skipped_hash, skip_distances
 from repro.index.intra import encode_digest, internal_hash
-from repro.parallel import weighted_fold
 
 
 @dataclass
@@ -68,8 +67,6 @@ class VerifyStats:
     nodes_replayed: int = 0
     #: individual checks folded into aggregated pairings by batch_verify
     batched_checks: int = 0
-    #: weighted checks fanned out to CryptoPool workers
-    parallel_tasks: int = 0
 
 
 @dataclass
@@ -90,6 +87,28 @@ class _DeferredCheck:
     proof: DisjointProof
 
 
+def weighted_fold(
+    accumulator: MultisetAccumulator,
+    items: Sequence[tuple[AccumulatorValue, DisjointProof, int]],
+) -> tuple[AccumulatorValue, DisjointProof]:
+    """``(Sum(value_i^w_i), ProofSum(proof_i^w_i))`` over weighted checks.
+
+    The random-weighted aggregation fold of
+    :meth:`QueryVerifier.batch_verify`: one pairing equation then stands
+    for every check in ``items``.
+    """
+    backend = accumulator.backend
+    values = [
+        AccumulatorValue(parts=tuple(backend.exp(part, weight) for part in value.parts))
+        for value, _proof, weight in items
+    ]
+    proofs = [
+        DisjointProof(parts=tuple(backend.exp(part, weight) for part in proof.parts))
+        for _value, proof, weight in items
+    ]
+    return accumulator.sum_values(values), accumulator.sum_proofs(proofs)
+
+
 class QueryVerifier:
     """Replays VOs for a light-node user."""
 
@@ -99,16 +118,11 @@ class QueryVerifier:
         accumulator: MultisetAccumulator,
         encoder: ElementEncoder,
         params: ProtocolParams,
-        pool=None,
     ) -> None:
-        """``pool`` (a :class:`~repro.parallel.CryptoPool`) splits
-        :meth:`batch_verify`'s random-weighted aggregation into
-        per-worker partial products; ``None`` keeps it inline."""
         self.light = light_node
         self.accumulator = accumulator
         self.encoder = encoder
         self.params = params
-        self.pool = pool
         self._clause_cache: dict[frozenset[str], AccumulatorValue] = {}
 
     # -- public API -----------------------------------------------------
@@ -234,29 +248,19 @@ class QueryVerifier:
             by_clause.setdefault(check.clause, []).append(check)
         rng = random.SystemRandom()
         backend = self.accumulator.backend
-        use_pool = self.pool is not None and not self.pool.serial
         for clause, checks in by_clause.items():
             clause_digest = self._clause_digest(clause, stats)
             if len(checks) > 1 and self.accumulator.supports_aggregation:
                 weights = [rng.randrange(1, backend.order) for _ in checks]
                 stats.disjoint_checks += 1
                 stats.batched_checks += len(checks)
-                # the weighting exponentiations dominate; with a pool
-                # and enough checks, workers fold chunk partials and the
-                # parent merges them (associative, so the same Sum)
-                if use_pool and len(checks) >= max(4, self.pool.workers):
-                    summed_value, summed_proof = self.pool.weighted_sums(
-                        [(check.value, check.proof) for check in checks], weights
-                    )
-                    stats.parallel_tasks += len(checks)
-                else:
-                    summed_value, summed_proof = weighted_fold(
-                        self.accumulator,
-                        [
-                            (check.value, check.proof, weight)
-                            for check, weight in zip(checks, weights)
-                        ],
-                    )
+                summed_value, summed_proof = weighted_fold(
+                    self.accumulator,
+                    [
+                        (check.value, check.proof, weight)
+                        for check, weight in zip(checks, weights)
+                    ],
+                )
                 if self.accumulator.verify_disjoint(
                     summed_value, clause_digest, summed_proof
                 ):

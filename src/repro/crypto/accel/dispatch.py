@@ -139,27 +139,24 @@ def available_impls() -> tuple[str, ...]:
         return tuple(name for name in PROBE_ORDER if _load(name) is not None)
 
 
-def set_impl(choice: str = "auto", *, fallback: bool = False) -> str:
+def set_impl(choice: str = "auto") -> str:
     """Select the process-wide provider; returns the resolved name.
 
     ``"auto"`` probes :data:`PROBE_ORDER`.  An explicit choice that is
-    not available raises :class:`~repro.errors.CryptoError` unless
-    ``fallback=True``, which degrades to ``"auto"`` instead — the pool
-    workers use that so a worker spawned into a leaner environment than
-    its parent still comes up.
+    not available raises :class:`~repro.errors.CryptoError`.
     """
     global _ACTIVE
     with _LOCK:
         provider: Provider | None = None
         if choice != "auto":
             provider = _load(choice)  # raises on unknown names
-            if provider is None and not fallback:
+            if provider is None:
                 have = ", ".join(n for n in PROBE_ORDER if _load(n) is not None)
                 raise CryptoError(
                     f"accel impl {choice!r} is not available in this "
                     f"environment (have: {have})"
                 )
-        if provider is None:
+        else:
             for name in PROBE_ORDER:
                 provider = _load(name)
                 if provider is not None:

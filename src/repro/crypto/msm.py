@@ -45,12 +45,7 @@ AffinePoint = Any
 class CurveOps:
     """Jacobian primitive set for one short-Weierstrass group.
 
-    Instances carry lambdas, so they cannot pickle by value; each named
-    adapter registers itself in :data:`OPS_REGISTRY` and pickles as a
-    reference resolved back through :func:`ops_by_name` — required for
-    spawn-mode :class:`~repro.parallel.CryptoPool` workers, which receive
-    the trusted setup (and anything that references an adapter) by
-    pickling rather than by fork inheritance.
+    ``name`` selects the accelerated provider's kernels for the curve.
     """
 
     infinity: JacPoint
@@ -63,23 +58,6 @@ class CurveOps:
     to_affine: Callable[[JacPoint], AffinePoint]
     batch_to_affine: Callable[[list[JacPoint]], list[AffinePoint]]
     name: str = ""
-
-    def __reduce__(self):
-        if not self.name:
-            raise TypeError("anonymous CurveOps instances cannot be pickled")
-        return (ops_by_name, (self.name,))
-
-
-#: named adapters, for pickling CurveOps by reference
-OPS_REGISTRY: dict[str, "CurveOps"] = {}
-
-
-def ops_by_name(name: str) -> "CurveOps":
-    """Resolve a pickled :class:`CurveOps` reference."""
-    try:
-        return OPS_REGISTRY[name]
-    except KeyError:
-        raise TypeError(f"unknown CurveOps adapter {name!r}") from None
 
 
 SS512_OPS = CurveOps(
@@ -108,12 +86,9 @@ BN254_OPS = CurveOps(
     name="bn254",
 )
 
-OPS_REGISTRY["ss512"] = SS512_OPS
-OPS_REGISTRY["bn254"] = BN254_OPS
-
 
 # -- accelerated-provider resolution ------------------------------------------
-#: effective CurveOps per (provider, curve); transient (never pickled)
+#: effective CurveOps per (provider, curve)
 _ACCEL_OPS_CACHE: dict[tuple[str, str], CurveOps] = {}
 
 

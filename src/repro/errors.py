@@ -51,10 +51,6 @@ class StorageError(ReproError):
     """Durable block storage failed (bad manifest, unrecoverable log)."""
 
 
-class ParallelError(ReproError):
-    """The crypto worker pool failed (dead worker, use after shutdown)."""
-
-
 class SubscriptionError(ReproError):
     """Subscription lifecycle misuse (double registration, unknown id)."""
 

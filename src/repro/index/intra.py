@@ -16,12 +16,9 @@ The same module also builds the *flat* (``nil``) tree used as the
 no-index baseline: arrival-order leaves, internal nodes carry hashes
 only, so every mismatching object needs its own proof.
 
-The build is two-phase so the accumulator work parallelises: a *plan*
-phase decides the tree shape (clustering looks only at attribute
-multisets, never at digests), then a *commit* phase runs one
-``accumulate`` per digest-bearing node — independent pure functions
-that a :class:`~repro.parallel.CryptoPool` can fan out across worker
-processes with byte-identical results.
+The build is two-phase: a *plan* phase decides the tree shape
+(clustering looks only at attribute multisets, never at digests), then
+a *commit* phase runs one ``accumulate`` per digest-bearing node.
 """
 
 from __future__ import annotations
@@ -183,21 +180,12 @@ def commit_tree(
     plan: NodePlan,
     accumulator: MultisetAccumulator,
     encoder: ElementEncoder,
-    pool=None,
 ) -> IndexNode:
-    """Realise a planned tree: commit every ``AttDigest``, hash bottom-up.
-
-    With a live :class:`~repro.parallel.CryptoPool` the node commits run
-    on worker processes; each digest is a pure function of its node's
-    multiset, so the resulting tree is byte-identical to a serial build.
-    """
-    work = digest_plan_nodes(plan)
-    encoded = [encoder.encode_multiset(node.attrs) for node in work]
-    if pool is not None and not pool.serial:
-        digests = pool.map_accumulate(encoded)
-    else:
-        digests = [accumulator.accumulate(multiset) for multiset in encoded]
-    digest_of = {id(node): value for node, value in zip(work, digests)}
+    """Realise a planned tree: commit every ``AttDigest``, hash bottom-up."""
+    digest_of = {
+        id(node): accumulator.accumulate(encoder.encode_multiset(node.attrs))
+        for node in digest_plan_nodes(plan)
+    }
     backend = accumulator.backend
 
     def assemble(node: NodePlan) -> IndexNode:
@@ -233,11 +221,10 @@ def build_intra_tree(
     encoder: ElementEncoder,
     bits: int,
     clustered: bool = True,
-    pool=None,
 ) -> IndexNode:
     """Plan + commit in one call (the miner's entry point)."""
     return commit_tree(
-        plan_intra_tree(objects, bits, clustered=clustered), accumulator, encoder, pool
+        plan_intra_tree(objects, bits, clustered=clustered), accumulator, encoder
     )
 
 
@@ -246,7 +233,6 @@ def build_flat_tree(
     accumulator: MultisetAccumulator,
     encoder: ElementEncoder,
     bits: int,
-    pool=None,
 ) -> IndexNode:
     """Plan + commit for the ``nil`` baseline."""
-    return commit_tree(plan_flat_tree(objects, bits), accumulator, encoder, pool)
+    return commit_tree(plan_flat_tree(objects, bits), accumulator, encoder)

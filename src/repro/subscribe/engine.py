@@ -29,11 +29,7 @@ from dataclasses import dataclass
 
 from repro.accumulators.base import DisjointProof, MultisetAccumulator
 from repro.accumulators.encoding import ElementEncoder
-from repro.cache.fragments import (
-    ProofCache,
-    compute_disjoint_proof,
-    multiset_signature,
-)
+from repro.cache.fragments import ProofCache, compute_disjoint_proof
 from repro.chain.block import Block
 from repro.chain.miner import ProtocolParams
 from repro.chain.object import DataObject
@@ -74,8 +70,6 @@ class EngineStats:
     proofs_computed: int = 0
     proofs_shared: int = 0
     deliveries: int = 0
-    #: proofs precomputed on CryptoPool workers during block ingestion
-    parallel_tasks: int = 0
 
 
 @dataclass
@@ -112,7 +106,6 @@ class SubscriptionEngine:
         iptree_dims: int | None = None,
         iptree_max_depth: int = 6,
         proof_cache: ProofCache | None = None,
-        pool=None,
     ) -> None:
         if lazy and not accumulator.supports_aggregation:
             raise QueryError("lazy authentication requires an aggregating accumulator")
@@ -125,12 +118,6 @@ class SubscriptionEngine:
         #: path by ServiceEndpoint); the per-block dict in
         #: ``process_block`` only shares within one block
         self.proof_cache = proof_cache
-        #: optional CryptoPool: with the IP-tree enabled, each block's
-        #: distinct proofs precompute across workers before the per-query
-        #: loop consumes them (the ``nip`` baseline stays serial so its
-        #: no-sharing semantics survive for Fig 12)
-        self.pool = pool
-        self._prepaid: set[tuple] = set()
         self.stats = EngineStats()
         self._iptree: IPTree | None = None
         self._iptree_dims = iptree_dims
@@ -190,14 +177,6 @@ class SubscriptionEngine:
 
         root = block.index_root
         root_mismatch, candidates = self._classify(root.attrs)
-        self._prepaid.clear()
-        if (
-            self.pool is not None
-            and not self.pool.serial
-            and self.use_iptree
-            and self._queries
-        ):
-            self._precompute_proofs(block, root_mismatch, proof_cache)
         for query_id, registered in self._queries.items():
             if block.height <= self._last_delivered[query_id]:
                 continue
@@ -353,115 +332,12 @@ class SubscriptionEngine:
         if self.use_iptree:
             proof = proof_cache.get(key)
             if proof is not None:
-                if key in self._prepaid:
-                    # precomputed on the pool for this consumer: counts
-                    # as the one computation the serial path would do
-                    self._prepaid.discard(key)
-                    self.stats.proofs_computed += 1
-                else:
-                    self.stats.proofs_shared += 1
+                self.stats.proofs_shared += 1
                 return proof
         proof = self._prove_cached(attrs, clause)
         if self.use_iptree:
             proof_cache[key] = proof
         return proof
-
-    def _collect_sites(
-        self,
-        node: IndexNode,
-        height: int,
-        registered: RegisteredQuery,
-        sites: dict[tuple, tuple[Counter, frozenset[str]]],
-    ) -> None:
-        """Pre-walk one candidate query: record every mismatch site the
-        delivery descent (:meth:`_descend`) is about to prove.
-
-        This traversal and its key scheme MUST mirror :meth:`_descend`
-        exactly (same pruning, same ``("node", height, id, clause)``
-        keys) — a desync makes the per-query loop silently re-prove
-        serially.  ``self._prepaid`` doubles as the tripwire: every
-        prepaid key must be consumed by the end of ``process_block``,
-        which the parity tests assert.
-        """
-        if node.att_digest is not None:
-            clause = registered.mismatch_clause(node.attrs)
-            if clause is not None:
-                sites[("node", height, id(node), clause)] = (node.attrs, clause)
-                return
-            if node.is_leaf:
-                return
-        for child in node.children:
-            self._collect_sites(child, height, registered, sites)
-
-    def _precompute_proofs(
-        self,
-        block: Block,
-        root_mismatch: dict[int, frozenset[str]],
-        proof_cache: dict,
-    ) -> None:
-        """Prove a block's distinct mismatch sites on the pool, up front.
-
-        Collects the exact keys the per-query handlers are about to
-        request, deduplicates by proof *content* (coordinating with the
-        persistent :class:`~repro.cache.ProofCache` so workers never
-        redo a proof any path already holds), fans the rest out in one
-        map, and seeds both cache layers.  The per-query loop then runs
-        unchanged and finds every proof already in place; byte-for-byte
-        identical deliveries, minus the serial proving.
-        """
-        sites: dict[tuple, tuple[Counter, frozenset[str]]] = {}
-        for query_id, registered in self._queries.items():
-            if block.height <= self._last_delivered[query_id]:
-                continue
-            clause = root_mismatch.get(query_id)
-            if clause is not None:
-                if self.lazy:
-                    sites[("sum", block.height, clause)] = (block.attrs_sum, clause)
-                else:
-                    root = block.index_root
-                    sites[("root", block.height, clause)] = (root.attrs, clause)
-            else:
-                self._collect_sites(block.index_root, block.height, registered, sites)
-        if not sites:
-            return
-
-        persistent = (
-            self.proof_cache
-            if self.proof_cache is not None and self.proof_cache.enabled
-            else None
-        )
-        by_content: dict[tuple, list[tuple]] = {}
-        for key, (attrs, clause) in sites.items():
-            content = (multiset_signature(attrs), clause)
-            by_content.setdefault(content, []).append(key)
-
-        to_compute: list[list[tuple]] = []
-        for keys in by_content.values():
-            attrs, clause = sites[keys[0]]
-            hit = persistent.lookup(attrs, clause) if persistent else None
-            if hit is not None:
-                for key in keys:
-                    proof_cache[key] = hit
-            else:
-                to_compute.append(keys)
-
-        if to_compute:
-            computed = self.pool.map_prove([sites[keys[0]] for keys in to_compute])
-            self.stats.parallel_tasks += len(to_compute)
-            for keys, proof in zip(to_compute, computed):
-                attrs, clause = sites[keys[0]]
-                if persistent is not None:
-                    persistent.seed(attrs, clause, proof)
-                for index, key in enumerate(keys):
-                    proof_cache[key] = proof
-                    # stats must mirror the serial walk: with a
-                    # persistent cache, only the first consumer of a
-                    # content would have computed (the rest hit the
-                    # content memo → proofs_shared); without one, every
-                    # distinct per-block key recomputes serially, so
-                    # every consumer counts proofs_computed
-                    if index == 0 or persistent is None:
-                        self._prepaid.add(key)
 
     def _prove_cached(self, attrs: Counter, clause: frozenset[str]) -> DisjointProof:
         """ProveDisjoint through the persistent content-keyed memo, if any.

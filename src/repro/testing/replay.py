@@ -42,7 +42,7 @@ _STATUS_OK = 0
 #: stats responses normalize to this constant snapshot: the counters
 #: depend on request interleaving and on which server kind is attached,
 #: neither of which a byte-parity gate should pin
-_EMPTY_STATS = ServerStats(endpoint={}, caches={}, engine={}, pool=None, server=None)
+_EMPTY_STATS = ServerStats(endpoint={}, caches={}, engine={}, server=None)
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,11 @@ def peek_deadline(payload: bytes) -> tuple[int | None, bytes]:
 
 
 # -- response bodies ----------------------------------------------------------
+#: query-stats counters of the former crypto pool; the frame keeps their
+#: two slots, each pinned to zero, so the wire bytes stay unchanged
+_RETIRED_STATS_SLOTS = 2
+
+
 def _write_stats(writer: Writer, stats: QueryStats) -> None:
     writer.raw(struct.pack(">d", stats.sp_seconds))
     writer.uvarint(stats.blocks_scanned)
@@ -382,13 +387,13 @@ def _write_stats(writer: Writer, stats: QueryStats) -> None:
     writer.uvarint(stats.cache_hits)
     writer.uvarint(stats.cache_misses)
     writer.uvarint(stats.proofs_reused)
-    writer.uvarint(stats.parallel_tasks)
-    writer.uvarint(stats.workers_used)
+    for _ in range(_RETIRED_STATS_SLOTS):
+        writer.uvarint(0)
 
 
 def _read_stats(reader: Reader) -> QueryStats:
     (sp_seconds,) = struct.unpack(">d", reader.raw(8))
-    return QueryStats(
+    stats = QueryStats(
         sp_seconds=sp_seconds,
         blocks_scanned=reader.uvarint(),
         blocks_skipped=reader.uvarint(),
@@ -398,9 +403,11 @@ def _read_stats(reader: Reader) -> QueryStats:
         cache_hits=reader.uvarint(),
         cache_misses=reader.uvarint(),
         proofs_reused=reader.uvarint(),
-        parallel_tasks=reader.uvarint(),
-        workers_used=reader.uvarint(),
     )
+    for _ in range(_RETIRED_STATS_SLOTS):
+        if reader.uvarint() != 0:
+            raise WireError("retired query-stats slot must be zero")
+    return stats
 
 
 def encode_query_response(
@@ -531,7 +538,6 @@ class ServerStats:
     The wire form of :meth:`~repro.api.service.ServiceEndpoint.stats`:
     ``endpoint`` carries the request counters, ``caches`` one section
     per serving cache, ``engine`` the subscription-engine counters,
-    ``pool`` the crypto-pool snapshot (``None`` without a pool),
     ``server`` the transport-level counters — admission rejections,
     rate limiting, evictions — when a socket server is attached
     (``None`` for a bare in-process endpoint), ``storage`` the
@@ -544,7 +550,6 @@ class ServerStats:
     endpoint: dict[str, Scalar]
     caches: dict[str, dict[str, Scalar]]
     engine: dict[str, Scalar]
-    pool: dict[str, Scalar] | None
     server: dict[str, Scalar] | None
     storage: dict[str, Scalar] | None = None
     accel: str = "pure"
@@ -612,7 +617,7 @@ def encode_stats_response(stats: ServerStats) -> bytes:
         writer.text(name)
         _write_info(writer, stats.caches[name])
     _write_info(writer, stats.engine)
-    _write_optional_info(writer, stats.pool)
+    writer.byte(_ABSENT)  # the retired crypto-pool section
     _write_optional_info(writer, stats.server)
     _write_optional_info(writer, stats.storage)
     writer.text(stats.accel)
@@ -627,7 +632,8 @@ def decode_stats_response(data: bytes) -> ServerStats:
         raise WireError("implausibly many cache sections in a stats response")
     caches = {reader.text(): _read_info(reader) for _ in range(n_caches)}
     engine = _read_info(reader)
-    pool = _read_optional_info(reader)
+    if reader.byte() != _ABSENT:
+        raise WireError("retired crypto-pool stats section must be absent")
     server = _read_optional_info(reader)
     storage = _read_optional_info(reader)
     accel = reader.text()
@@ -636,7 +642,6 @@ def decode_stats_response(data: bytes) -> ServerStats:
         endpoint=endpoint,
         caches=caches,
         engine=engine,
-        pool=pool,
         server=server,
         storage=storage,
         accel=accel,

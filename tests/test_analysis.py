@@ -118,49 +118,6 @@ def test_lock_rule_flags_unlocked_write(tmp_path):
     assert finding.line == 10  # the write inside set(), not the ones in __init__
 
 
-PICKLE_FIXTURE = {
-    "src/repro/parallel/fixture_state.py": """\
-        import threading
-
-
-        class WorkerState:
-            def __init__(self) -> None:
-                self._guard = threading.Lock()
-
-
-        POOL_STATE_TYPES = (WorkerState,)
-        """,
-}
-
-
-def test_pickle_rule_flags_lock_in_pool_state(tmp_path):
-    root = make_project(tmp_path, PICKLE_FIXTURE)
-    finding = only_finding(run(root, rules=["pickle-safety"]), "pickle-safety")
-    assert "WorkerState._guard" in finding.message
-    assert "threading.Lock" in finding.message
-
-
-def test_pickle_rule_exempts_getstate_owners(tmp_path):
-    fixture = {
-        "src/repro/parallel/fixture_state.py": """\
-            import threading
-
-
-            class WorkerState:
-                def __init__(self) -> None:
-                    self._guard = threading.Lock()
-
-                def __getstate__(self):
-                    return {}
-
-
-            POOL_STATE_TYPES = (WorkerState,)
-            """,
-    }
-    root = make_project(tmp_path, fixture)
-    assert run(root, rules=["pickle-safety"]).ok
-
-
 BACKEND_FIXTURE = {
     "src/repro/fixture_backend.py": """\
         from abc import ABC, abstractmethod
@@ -491,7 +448,7 @@ def test_suppression_is_per_rule():
     finding = Finding(rule="lock-discipline", path="x.py", line=1, message="m")
     assert is_suppressed(finding, ["x = 1  # vlint: disable=lock-discipline"])
     assert is_suppressed(finding, ["x = 1  # vlint: disable=all"])
-    assert not is_suppressed(finding, ["x = 1  # vlint: disable=pickle-safety"])
+    assert not is_suppressed(finding, ["x = 1  # vlint: disable=fsync-discipline"])
     assert not is_suppressed(finding, ["x = 1"])
 
 
@@ -499,7 +456,7 @@ def test_suppression_is_per_rule():
 def test_repo_is_clean():
     report = run(REPO_ROOT)
     assert report.ok, report.render()
-    assert len(report.rules) == 8
+    assert len(report.rules) == 7
 
 
 # -- driver and CLI ------------------------------------------------------------
@@ -543,7 +500,7 @@ def test_cli_json_output(tmp_path, capsys):
 
 def test_cli_single_rule_selection(tmp_path, capsys):
     root = make_project(tmp_path, LOCK_FIXTURE)
-    assert main(["--root", str(root), "--rule", "pickle-safety", "--check"]) == 0
+    assert main(["--root", str(root), "--rule", "fsync-discipline", "--check"]) == 0
     assert "1 rule(s) run" in capsys.readouterr().out
 
 
@@ -559,4 +516,4 @@ def test_cli_list_rules(capsys):
     assert "async-discipline" in names
     assert "fsync-discipline" in names
     assert "accel-dispatch" in names
-    assert len(names) == 8
+    assert len(names) == 7

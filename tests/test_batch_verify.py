@@ -115,16 +115,17 @@ def _bogus_proof(net):
 
 def test_batch_verify_rejects_forged_group_proof(net2):
     queries = _queries(net2)
-    singles = _answers(net2, queries, batch=True)
-    forged_vo = singles[2].vo
-    assert forged_vo.batch_groups, "batch VO should carry group proofs"
-    group_id = next(iter(forged_vo.batch_groups))
-    forged_vo.batch_groups[group_id] = replace(
-        forged_vo.batch_groups[group_id], proof=_bogus_proof(net2)
-    )
-    items = [(q, r.results, r.vo) for q, r in zip(queries, singles)]
-    with pytest.raises(VerificationError, match="batch item 2"):
-        net2.user.batch_verify(items)
+    for forged_item in (1, 2):
+        singles = _answers(net2, queries, batch=True)
+        forged_vo = singles[forged_item].vo
+        assert forged_vo.batch_groups, "batch VO should carry group proofs"
+        group_id = next(iter(forged_vo.batch_groups))
+        forged_vo.batch_groups[group_id] = replace(
+            forged_vo.batch_groups[group_id], proof=_bogus_proof(net2)
+        )
+        items = [(q, r.results, r.vo) for q, r in zip(queries, singles)]
+        with pytest.raises(VerificationError, match=f"batch item {forged_item}"):
+            net2.user.batch_verify(items)
 
 
 def _forge_first_individual_proof(vo, bogus):

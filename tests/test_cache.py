@@ -92,9 +92,9 @@ def test_lru_thread_safety_under_contention():
 
 
 # -- network fixture ----------------------------------------------------------
-@pytest.fixture()
-def net():
+def _mined_network(acc_name="acc2"):
     net = VChainNetwork.create(
+        acc_name=acc_name,
         params=ProtocolParams(mode="both", bits=8, skip_size=2, difficulty_bits=0),
         seed=33,
     )
@@ -105,6 +105,11 @@ def net():
             timestamp=height * 10,
         )
     return net
+
+
+@pytest.fixture()
+def net():
+    return _mined_network()
 
 
 def _query(net, start=0, end=200):
@@ -160,21 +165,27 @@ def test_cached_answer_is_byte_identical(net):
 
 
 def test_cached_answer_byte_identical_without_batch(net):
-    query = _query(net)
-    backend = net.accumulator.backend
-    cold = ServiceEndpoint(net.sp, cache_fragments=0, cache_proofs=0)
-    warm = ServiceEndpoint(net.sp)
+    acc1_net = _mined_network("acc1")
     try:
-        reference = cold.time_window_query(query, batch=False)
-        warm.time_window_query(query, batch=False)
-        replay = warm.time_window_query(query, batch=False)
-        assert encode_response(backend, replay[0], replay[1]) == encode_response(
-            backend, reference[0], reference[1]
-        )
-        assert replay[2].proofs_computed == 0
+        for network in (acc1_net, net):
+            query = _query(network)
+            backend = network.accumulator.backend
+            cold = ServiceEndpoint(network.sp, cache_fragments=0, cache_proofs=0)
+            warm = ServiceEndpoint(network.sp)
+            try:
+                reference = cold.time_window_query(query, batch=False)
+                warm.time_window_query(query, batch=False)
+                replay = warm.time_window_query(query, batch=False)
+                assert encode_response(
+                    backend, replay[0], replay[1]
+                ) == encode_response(backend, reference[0], reference[1])
+                assert replay[2].cache_hits > 0  # replayed, not re-proved
+                assert replay[2].proofs_computed == 0
+            finally:
+                cold.close()
+                warm.close()
     finally:
-        cold.close()
-        warm.close()
+        acc1_net.close()
 
 
 def test_overlapping_windows_share_fragments(net):

@@ -171,6 +171,11 @@ def test_query_response_roundtrip(sim_acc2):
     for cut in range(len(data)):
         with pytest.raises(WireError):
             decode_query_response(backend, data[:cut])
+    # the stats end in two retired slots that must read zero
+    assert data.endswith(b"\x00\x00")
+    for retired in (b"\x07\x00", b"\x00\x04"):
+        with pytest.raises(WireError, match="retired"):
+            decode_query_response(backend, data[:-2] + retired)
 
 
 # -- stats requests & envelopes ----------------------------------------------
@@ -230,7 +235,6 @@ def test_server_stats_roundtrip():
         endpoint={"queries": 4, "polls": 0},
         caches={"fragments": {"hits": 9, "hit_rate": 0.75}, "proofs": {"hits": 1}},
         engine={"deliveries": 2},
-        pool={"workers": 2, "mode": "fork"},
         server={"requests": 11, "evictions": 1},
         storage={"nodes_online": 6, "repaired_stripes": 3},
     )
@@ -240,8 +244,15 @@ def test_server_stats_roundtrip():
 def test_server_stats_optional_sections_roundtrip():
     from repro.wire import ServerStats, decode_stats_response, encode_stats_response
 
-    stats = ServerStats(endpoint={}, caches={}, engine={}, pool=None, server=None)
-    assert decode_stats_response(encode_stats_response(stats)) == stats
+    stats = ServerStats(endpoint={}, caches={}, engine={}, server=None)
+    data = encode_stats_response(stats)
+    assert decode_stats_response(data) == stats
+    # endpoint, caches and engine are empty, so byte 3 is the retired
+    # crypto-pool marker; only "absent" decodes
+    assert data[3] == 0
+    for marker in (b"\x01\x00", b"\x02"):
+        with pytest.raises(WireError, match="retired"):
+            decode_stats_response(data[:3] + marker + data[4:])
 
 
 def test_server_stats_truncation_rejected():
@@ -252,7 +263,6 @@ def test_server_stats_truncation_rejected():
             endpoint={"queries": 1},
             caches={"fragments": {"hits": 2}},
             engine={"deliveries": 0},
-            pool=None,
             server={"requests": 3},
         )
     )

@@ -270,7 +270,6 @@ def test_envelope_and_stats_bit_flips_never_crash():
             endpoint={"queries": 3},
             caches={"vo": {"hits": 1, "misses": 2.5}},
             engine={"deliveries": 4},
-            pool={"workers": 2},
             server={"requests": 9},
         )
     )

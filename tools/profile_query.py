@@ -44,10 +44,6 @@ def main() -> int:
     parser.add_argument("--window", type=int, default=8,
                         help="query window size in blocks")
     parser.add_argument("--queries", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="CryptoPool worker processes (1 = serial); "
-                        "profiles then show the parent-side orchestration "
-                        "while the crypto runs in the workers")
     parser.add_argument("--accel", default=None,
                         choices=["auto", "pure", "gmpy2", "native"],
                         help="arithmetic provider for the crypto hot loops "
@@ -72,7 +68,7 @@ def main() -> int:
                             skip_size=3, skip_base=4, difficulty_bits=0)
     net = VChainNetwork.create(
         acc_name=args.acc, backend_name=args.backend, params=params,
-        seed=17, acc1_capacity=1 << 12, workers=args.workers,
+        seed=17, acc1_capacity=1 << 12,
     )
     queries = make_time_window_queries(
         dataset, n_queries=args.queries, window_blocks=args.window, seed=29
@@ -93,7 +89,7 @@ def main() -> int:
         for query, (results, vo, _stats) in zip(queries, answers):
             net.user.verify(query, results, vo)
 
-    net.close()  # drain the CryptoPool, if any
+    net.close()
 
     if args.out:
         combined = pstats.Stats(*profilers.values())
